@@ -17,6 +17,14 @@
 //   hyperopt   O(S n^3)  pre-production LML probes (engine = pooled)
 //   full_period          3 surrogates x (posterior scan + add), as EdgeBol
 //                        runs every period in steady state
+//   update_at_budget     3 surrogates x (add + evict oldest) at the budget:
+//                        baseline = add() then remove_observation(0) through
+//                        the public API (two cache passes, two dispatches);
+//                        engine = stage_add + stage_remove(0) on all three,
+//                        then one GpRegressor::sweep_all. The two sides are
+//                        compared bit for bit every repetition; the count of
+//                        differing steps is the update_identity_mismatches
+//                        metric (gated at 0). Timed as the median over reps.
 //   decide               one full decision (bound maintenance + safe set +
 //                        acquisition) at the FULL 11^4 grid with the
 //                        observation budget at 200: incremental engine
@@ -32,7 +40,10 @@
 //   { n_obs, n_candidates, dims, threads, smoke,
 //     phases: [{name, baseline_ms, engine_ms, speedup}],
 //     metrics: {decide_p50_ms_t1, decide_p99_ms_t1,
-//               decide_p50_ms_t8, decide_p99_ms_t8} }
+//               decide_p50_ms_t8, decide_p99_ms_t8,
+//               update_at_budget_ms (+ _p25_ms, _p75_ms),
+//               update_identity_mismatches},
+//     machine: CPU model and hardware threads }
 // The phases feed scripts/perf_gate.py's speedup mode; the metrics feed its
 // --ceiling mode (absolute wall-clock bounds).
 //
@@ -44,6 +55,7 @@
 #include <array>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -178,6 +190,14 @@ struct PhaseResult {
   double engine_ms = 0.0;
 };
 
+struct UpdateStats {
+  double baseline_ms = 0.0;  // median
+  double engine_ms = 0.0;    // median
+  double engine_p25_ms = 0.0;
+  double engine_p75_ms = 0.0;
+  std::size_t mismatches = 0;
+};
+
 struct Config {
   bool smoke = false;
   std::size_t threads = 0;  // 0 = hardware concurrency
@@ -306,7 +326,106 @@ bool run_correctness(const Config& cfg) {
   return ok;
 }
 
-std::vector<PhaseResult> run_phases(const Config& cfg) {
+// Nearest-rank percentile (q in (0, 1]); consumes a copy.
+double percentile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  std::size_t rank =
+      static_cast<std::size_t>(std::ceil(q * static_cast<double>(v.size())));
+  rank = std::min(std::max<std::size_t>(rank, 1), v.size());
+  return v[rank - 1];
+}
+
+// True when the two regressors' tracked posteriors, delta accumulators and
+// a cold prediction at `zq` are equal bit for bit.
+bool bitwise_equal(const gp::GpRegressor& a, const gp::GpRegressor& b,
+                   const Vector& zq) {
+  const std::size_t m = a.num_tracked();
+  const auto same = [m](const double* x, const double* y) {
+    return std::memcmp(x, y, m * sizeof(double)) == 0;
+  };
+  const gp::Prediction pa = a.predict(zq);
+  const gp::Prediction pb = b.predict(zq);
+  return m == b.num_tracked() &&
+         a.num_observations() == b.num_observations() &&
+         same(a.tracked_mean_data(), b.tracked_mean_data()) &&
+         same(a.tracked_var_data(), b.tracked_var_data()) &&
+         same(a.tracked_delta_mean_data(), b.tracked_delta_mean_data()) &&
+         same(a.tracked_delta_sigma_data(), b.tracked_delta_sigma_data()) &&
+         std::memcmp(&pa, &pb, sizeof pa) == 0;
+}
+
+// update_at_budget (see the header): three surrogates at the full budget
+// each take one observation and evict the oldest.
+UpdateStats run_update_at_budget(const Config& cfg,
+                                 const std::shared_ptr<const linalg::Matrix>&
+                                     cand_mat,
+                                 const std::vector<Vector>& zs,
+                                 const std::shared_ptr<common::ThreadPool>&
+                                     pool,
+                                 Rng& rng) {
+  std::vector<gp::GpRegressor> base, eng;
+  for (int s = 0; s < 3; ++s) {
+    Rng yrng(300 + static_cast<std::uint64_t>(s));
+    gp::GpRegressor g(make_kernel(), 1e-3);
+    for (const Vector& z : zs) g.add(z, yrng.normal());
+    g.set_thread_pool(pool);
+    g.track_candidates(cand_mat);
+    base.push_back(g);
+    eng.push_back(std::move(g));
+  }
+  const std::array<gp::GpRegressor*, 3> eng_ptrs{&eng[0], &eng[1], &eng[2]};
+
+  const int reps = cfg.smoke ? 15 : 40;
+  const auto extra = draw_inputs(static_cast<std::size_t>(reps), rng);
+  Rng yrng(310);
+  std::vector<double> base_ms, eng_ms;
+  UpdateStats stats;
+  for (int r = 0; r < reps; ++r) {
+    const Vector& z = extra[static_cast<std::size_t>(r)];
+    const std::array<double, 3> ys{yrng.normal(), yrng.normal(),
+                                   yrng.normal()};
+    double t0 = now_ms();
+    if (pool) {
+      // Two passes over each cache: one dispatch for the three adds, one
+      // for the three evictions.
+      pool->run_tasks({[&] { base[0].add(z, ys[0]); },
+                       [&] { base[1].add(z, ys[1]); },
+                       [&] { base[2].add(z, ys[2]); }});
+      pool->run_tasks({[&] { base[0].remove_observation(0); },
+                       [&] { base[1].remove_observation(0); },
+                       [&] { base[2].remove_observation(0); }});
+    } else {
+      for (std::size_t s = 0; s < 3; ++s) base[s].add(z, ys[s]);
+      for (std::size_t s = 0; s < 3; ++s) base[s].remove_observation(0);
+    }
+    base_ms.push_back(now_ms() - t0);
+
+    t0 = now_ms();
+    for (std::size_t s = 0; s < 3; ++s) eng[s].stage_add(z, ys[s]);
+    for (std::size_t s = 0; s < 3; ++s) eng[s].stage_remove(0);
+    gp::GpRegressor::sweep_all(eng_ptrs, pool.get());
+    eng_ms.push_back(now_ms() - t0);
+
+    for (std::size_t s = 0; s < 3; ++s) {
+      if (!bitwise_equal(base[s], eng[s], z)) {
+        ++stats.mismatches;
+        break;
+      }
+    }
+  }
+  stats.baseline_ms = percentile(base_ms, 0.5);
+  stats.engine_ms = percentile(eng_ms, 0.5);
+  stats.engine_p25_ms = percentile(eng_ms, 0.25);
+  stats.engine_p75_ms = percentile(eng_ms, 0.75);
+  std::fprintf(stderr,
+               "update_at_budget: %d steps, baseline p50 %.3f ms, engine p50 "
+               "%.3f ms (p25 %.3f, p75 %.3f), identity mismatches %zu\n",
+               reps, stats.baseline_ms, stats.engine_ms, stats.engine_p25_ms,
+               stats.engine_p75_ms, stats.mismatches);
+  return stats;
+}
+
+std::vector<PhaseResult> run_phases(const Config& cfg, UpdateStats& update) {
   Rng rng(42);
   env::GridSpec spec;
   spec.levels_per_dim = cfg.grid_levels;
@@ -473,6 +592,9 @@ std::vector<PhaseResult> run_phases(const Config& cfg) {
     out.push_back(p);
   }
 
+  update = run_update_at_budget(cfg, cand_mat, zs, pool, rng);
+  out.push_back(
+      PhaseResult{"update_at_budget", update.baseline_ms, update.engine_ms});
   return out;
 }
 
@@ -495,15 +617,6 @@ struct DecideStats {
   double engine_p99_ms = 0.0;
   bool ok = false;
 };
-
-// Nearest-rank percentile (q in (0, 1]); consumes a copy.
-double percentile(std::vector<double> v, double q) {
-  std::sort(v.begin(), v.end());
-  std::size_t rank =
-      static_cast<std::size_t>(std::ceil(q * static_cast<double>(v.size())));
-  rank = std::min(std::max<std::size_t>(rank, 1), v.size());
-  return v[rank - 1];
-}
 
 DecideStats run_decide(std::size_t threads) {
   // Nearest-rank p99 needs enough samples that it is not simply the max:
@@ -666,6 +779,26 @@ DecideStats run_decide(std::size_t threads) {
   return stats;
 }
 
+// "<CPU model>, <n> hardware threads", from /proc/cpuinfo where present.
+std::string machine_description() {
+  std::string model = "unknown CPU";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) {
+        model = line.substr(colon + 2);
+      }
+      break;
+    }
+  }
+  for (char& c : model) {
+    if (c == '"' || c == '\\') c = ' ';
+  }
+  return model + ", " + std::to_string(std::thread::hardware_concurrency()) +
+         " hardware threads";
+}
+
 void write_json(const Config& cfg, const std::vector<PhaseResult>& phases,
                 std::size_t m,
                 const std::vector<std::pair<std::string, double>>& metrics) {
@@ -676,6 +809,7 @@ void write_json(const Config& cfg, const std::vector<PhaseResult>& phases,
      << "  \"n_candidates\": " << m << ",\n"
      << "  \"dims\": 7,\n"
      << "  \"threads\": " << cfg.threads << ",\n"
+     << "  \"machine\": \"" << machine_description() << "\",\n"
      << "  \"smoke\": " << (cfg.smoke ? "true" : "false") << ",\n"
      << "  \"phases\": [\n";
   for (std::size_t i = 0; i < phases.size(); ++i) {
@@ -737,7 +871,8 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr, "correctness: engine matches reference to 1e-9\n");
 
-  std::vector<PhaseResult> phases = run_phases(cfg);
+  UpdateStats update;
+  std::vector<PhaseResult> phases = run_phases(cfg, update);
 
   const DecideStats t1 = run_decide(1);
   const DecideStats t8 = run_decide(8);
@@ -751,6 +886,10 @@ int main(int argc, char** argv) {
       {"decide_p99_ms_t1", t1.engine_p99_ms},
       {"decide_p50_ms_t8", t8.engine_p50_ms},
       {"decide_p99_ms_t8", t8.engine_p99_ms},
+      {"update_at_budget_ms", update.engine_ms},
+      {"update_at_budget_p25_ms", update.engine_p25_ms},
+      {"update_at_budget_p75_ms", update.engine_p75_ms},
+      {"update_identity_mismatches", static_cast<double>(update.mismatches)},
   };
 
   env::GridSpec spec;

@@ -82,6 +82,11 @@ ctest --test-dir build-release --output-on-failure -j "$(nproc)"
 #     set + acquisition) at the full 11^4 grid with the budget at 200 must
 #     stay under 1 ms at p99, serial and with an 8-thread pool (measured
 #     p50 ~0.35 ms, p99 ~0.45 ms; see DESIGN.md "Performance model").
+#     update_identity_mismatches=0: the one-sweep update_at_budget phase
+#     (stage add + eviction, one sweep) matched add() then
+#     remove_observation(0) bit for bit at every step.
+# Every gate below logs the attempt that passed, so a gate that passes only
+# on a retry shows in the log instead of hiding behind the loop.
 # Timings interleave the two sides rep-by-rep (best-of-9 each), but a
 # CPU-steal burst on a shared box can still sink one side's ratio or land
 # in a p99 sample; re-measuring up to 3 times separates that (passes
@@ -93,8 +98,10 @@ for attempt in 1 2 3; do
   if python3 scripts/perf_gate.py build-release/BENCH_gp.json \
       --min-speedup 0.95 --floor track=0.90 \
     && python3 scripts/perf_gate.py build-release/BENCH_gp.json \
-      --ceiling decide_p99_ms_t1=1.0 --ceiling decide_p99_ms_t8=1.0; then
+      --ceiling decide_p99_ms_t1=1.0 --ceiling decide_p99_ms_t8=1.0 \
+      --ceiling update_identity_mismatches=0; then
     gate_ok=1
+    echo "perf gate: passed on attempt $attempt/3"
     break
   fi
   echo "perf gate: attempt $attempt/3 below threshold; re-measuring"
@@ -123,6 +130,7 @@ for attempt in 1 2 3; do
       --ceiling p99_mux_ms=500 --ceiling mux_cells_shortfall=0 \
       --ceiling mux_connections=8; then
     transport_ok=1
+    echo "transport gate: passed on attempt $attempt/3"
     break
   fi
   echo "transport gate: attempt $attempt/3 out of bounds; re-measuring"
@@ -140,6 +148,7 @@ for attempt in 1 2 3; do
   if python3 scripts/perf_gate.py build-release/BENCH_ingest.json \
       --metric-floor frames_per_sec=1000000; then
     ingest_ok=1
+    echo "ingest gate: passed on attempt $attempt/3"
     break
   fi
   echo "ingest gate: attempt $attempt/3 below floor; re-measuring"
@@ -167,6 +176,7 @@ for attempt in 1 2 3; do
       --ceiling decide_p99_ms=1.0 --ceiling identity_mismatches=0 \
       --ceiling warm_cold_ratio=0.5; then
     fleet_ok=1
+    echo "fleet gate: passed on attempt $attempt/3"
     break
   fi
   echo "fleet gate: attempt $attempt/3 below threshold; re-measuring"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -344,56 +345,61 @@ void EdgeBol::observe(const env::Context& context,
   const double y_delay =
       std::log(std::min(m.delay_s, kDelayClipS) / cfg_.delay_scale);
   const double y_map = m.map;
-  // The three surrogates are independent: their O(T^2 + T|X|) rank-one
-  // updates can run concurrently. A failed add (non-SPD extension) must not
-  // leave a *partial* observation — run_tasks already waits for all tasks
-  // and rethrows the first error, and each GP rolls back internally, so the
-  // surviving surrogates simply keep one extra point; update() treats the
-  // rethrow exactly like the serial path's.
-  if (pool_) {
-    // sync: one task per distinct surrogate; z is read-only shared;
-    // run_tasks joins all three and rethrows the first error.
-    pool_->run_tasks({[&] { cost_gp_.add(z, y_cost); },
-                      [&] { delay_gp_.add(z, y_delay); },
-                      [&] { map_gp_.add(z, y_map); }});
-  } else {
-    cost_gp_.add(z, y_cost);
-    delay_gp_.add(z, y_delay);
-    map_gp_.add(z, y_map);
-  }
+  add_observation(z, y_cost, y_delay, y_map, /*evict=*/true);
   enforce_budget();
 }
 
-void EdgeBol::enforce_budget() {
-  if (cfg_.gp_budget == 0) return;
+void EdgeBol::add_observation(const linalg::Vector& z, double y_cost,
+                              double y_delay, double y_map, bool evict) {
+  // Factor stages first: O(T^2) each, serial. A failed stage_add (non-SPD
+  // extension) leaves its surrogate unchanged, never half-updated. Every
+  // surrogate is still attempted and the staged ones swept; the first error
+  // is rethrown, the survivors keep the point, and update() counts the
+  // failure.
+  const std::array<double, 3> ys{y_cost, y_delay, y_map};
+  const std::array<gp::GpRegressor*, 3> gps = surrogates();
+  std::exception_ptr first_error;
+  for (std::size_t k = 0; k < gps.size(); ++k) {
+    try {
+      gps[k]->stage_add(z, ys[k]);
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (!first_error && evict) stage_eviction();
+  // The O(T |X|) cache work of all three — fold, then the eviction's
+  // downdate — in one pool dispatch.
+  gp::GpRegressor::sweep_all(gps, pool_.get());
+  if (first_error) std::rethrow_exception(first_error);
+}
+
+bool EdgeBol::stage_eviction() {
+  if (cfg_.gp_budget == 0 || cost_gp_.num_observations() <= cfg_.gp_budget)
+    return false;
   // The three surrogates must keep conditioning on the SAME observation set
   // (save_observations zips their targets by index), so the per-GP
   // auto-eviction stays off and the cost surrogate arbitrates: it picks the
   // victim index, and the same index is removed from all three. The choice
   // is computed serially, so budgeted trajectories stay bit-identical for
-  // any num_threads. The loop only iterates when load_observations replayed
-  // more than one observation past the budget.
-  while (cost_gp_.num_observations() > cfg_.gp_budget) {
-    const std::size_t victim = cost_gp_.eviction_candidate(cfg_.gp_eviction);
-    // After a partial add failure (gp_update_failures) a surrogate can hold
-    // one observation more or fewer than its peers; guard each removal so a
-    // degraded agent still converges to the budget instead of throwing.
-    const auto evict = [&](gp::GpRegressor& g) {
-      if (g.num_observations() > cfg_.gp_budget &&
-          victim < g.num_observations()) {
-        g.remove_observation(victim);
-      }
-    };
-    if (pool_) {
-      // sync: victim chosen serially above; each task downdates a distinct
-      // surrogate; run_tasks joins before the loop re-checks the budget.
-      pool_->run_tasks({[&] { evict(cost_gp_); }, [&] { evict(delay_gp_); },
-                        [&] { evict(map_gp_); }});
-    } else {
-      evict(cost_gp_);
-      evict(delay_gp_);
-      evict(map_gp_);
+  // any num_threads.
+  const std::size_t victim = cost_gp_.eviction_candidate(cfg_.gp_eviction);
+  // After a partial add failure (gp_update_failures) a surrogate can hold
+  // one observation more or fewer than its peers; guard each removal so a
+  // degraded agent still converges to the budget instead of throwing.
+  for (gp::GpRegressor* g : surrogates()) {
+    if (g->num_observations() > cfg_.gp_budget &&
+        victim < g->num_observations()) {
+      g->stage_remove(victim);
     }
+  }
+  return true;
+}
+
+void EdgeBol::enforce_budget() {
+  // Iterates only after a partial add failure or when load_observations /
+  // import_observations replayed more than one observation past the budget.
+  while (stage_eviction()) {
+    gp::GpRegressor::sweep_all(surrogates(), pool_.get());
   }
 }
 
@@ -478,17 +484,7 @@ void EdgeBol::import_observations(std::span<const PseudoObservation> rows) {
     const double y_delay =
         std::log(std::min(o.delay_s, kDelayClipS) / cfg_.delay_scale);
     const double y_map = o.map;
-    if (pool_) {
-      // sync: one task per distinct surrogate (same discipline as
-      // observe()); o is read-only; run_tasks joins before the next row.
-      pool_->run_tasks({[&] { cost_gp_.add(o.z, y_cost); },
-                        [&] { delay_gp_.add(o.z, y_delay); },
-                        [&] { map_gp_.add(o.z, y_map); }});
-    } else {
-      cost_gp_.add(o.z, y_cost);
-      delay_gp_.add(o.z, y_delay);
-      map_gp_.add(o.z, y_map);
-    }
+    add_observation(o.z, y_cost, y_delay, y_map, /*evict=*/false);
   }
   enforce_budget();
   tracked_context_features_.reset();  // caches no longer match the data
@@ -530,9 +526,7 @@ void EdgeBol::load_observations(std::istream& is) {
     if (!is)
       throw std::runtime_error("EdgeBol::load_observations: truncated data");
     // Targets are stored post-transform: add straight into the surrogates.
-    cost_gp_.add(z, y_cost);
-    delay_gp_.add(z, y_delay);
-    map_gp_.add(z, y_map);
+    add_observation(z, y_cost, y_delay, y_map, /*evict=*/false);
   }
   enforce_budget();  // a budgeted agent retains at most gp_budget of them
   tracked_context_features_.reset();  // caches no longer match the data

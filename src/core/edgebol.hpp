@@ -275,9 +275,19 @@ class EdgeBol {
   void ensure_tracking(const env::Context& context);
   void observe(const env::Context& context, const env::ControlPolicy& policy,
                const env::Measurement& measurement);
+  // Conditions the three surrogates on one observation: their factor
+  // stages, then (if `evict`) one coordinated eviction, then one sweep.
+  void add_observation(const linalg::Vector& z, double y_cost, double y_delay,
+                       double y_map, bool evict);
+  // Stages one eviction, chosen by the cost surrogate, on every surrogate
+  // over cfg_.gp_budget. False (nothing staged) when within the budget.
+  bool stage_eviction();
   // Evict (coordinated across the three surrogates) until none exceeds
   // cfg_.gp_budget. No-op when the budget is 0.
   void enforce_budget();
+  std::array<gp::GpRegressor*, 3> surrogates() {
+    return {&cost_gp_, &delay_gp_, &map_gp_};
+  }
   bool validate_measurement(const env::Measurement& m);
   bool violates_constraints(const env::Measurement& m) const;
   std::size_t conservative_index() const;

@@ -6,7 +6,221 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "gp/column_kernels.hpp"
+
 namespace edgebol::gp {
+
+// ---------------------------------------------------------------------------
+// Column kernels (column_kernels.hpp). Each body below is inlined into two
+// wrappers: a baseline one and a [[gnu::target("avx2")]] one. This file is
+// compiled with -ffp-contract=off and the AVX2 target enables no FMA, so the
+// compiler can only vectorize the same element-wise multiply, add, subtract
+// and divide; a column's operation sequence — and so every bit — is the same
+// in both copies, for any block bounds and any thread count.
+// ---------------------------------------------------------------------------
+
+namespace detail {
+namespace {
+
+[[gnu::always_inline]] inline void fold_body(const CacheColumns& c,
+                                             std::size_t row,
+                                             const double* lrow, double pivot,
+                                             double w_new, std::size_t j0,
+                                             std::size_t j1) {
+  const std::size_t m = c.m;
+  double* arow = c.a + row * m;
+  for (std::size_t i = 0; i < row; ++i) {
+    const double lni = lrow[i];
+    const double* ai = c.a + i * m;
+    for (std::size_t j = j0; j < j1; ++j) arow[j] -= lni * ai[j];
+  }
+  // The delta accumulators record exactly the terms folded into the moments
+  // (dm is the same product added to the mean), so a candidate whose
+  // accumulators stay zero has a bitwise-unchanged cached posterior.
+  double* mean = c.mean;
+  double* var = c.var;
+  double* dmu = c.delta_mean;
+  double* dsg = c.delta_sigma;
+  for (std::size_t j = j0; j < j1; ++j) {
+    const double aj = arow[j] / pivot;
+    arow[j] = aj;
+    const double dm = aj * w_new;
+    mean[j] += dm;
+    var[j] -= aj * aj;
+    dmu[j] += std::abs(dm);
+    dsg[j] += std::abs(aj);
+  }
+}
+
+// Four columns as one GCC generic vector: element-wise IEEE arithmetic,
+// lowered to two SSE2 or one AVX2 instruction per operation.
+typedef double Vec4 __attribute__((vector_size(32)));
+
+template <typename T>
+[[gnu::always_inline]] inline void load_cols(T& v, const double* p) {
+  std::memcpy(&v, p, sizeof v);
+}
+
+template <typename T>
+[[gnu::always_inline]] inline void store_cols(double* p, const T& v) {
+  std::memcpy(p, &v, sizeof v);
+}
+
+// Columns [j, j + V lanes) of the downdate, T being double (one column) or
+// Vec4. The row being rotated down is carried in registers from one
+// rotation to the next, so each cache row is read and written once instead
+// of twice; the rotated-out last row never returns to memory (the cache
+// drops it) but is folded out of the moments from the carry. Per column
+// this is the same operation sequence as rotating whole row pairs in turn.
+template <typename T, std::size_t V>
+[[gnu::always_inline]] inline void downdate_chunk(
+    const CacheColumns& c, std::size_t first, std::size_t rows,
+    const linalg::GivensRotation* rot, double w_last, std::size_t j) {
+  constexpr std::size_t kLanes = sizeof(T) / sizeof(double);
+  const std::size_t m = c.m;
+  T carry[V];
+  const double* top = c.a + first * m + j;
+  for (std::size_t v = 0; v < V; ++v) {
+    load_cols(carry[v], top + v * kLanes);
+  }
+  for (std::size_t r = 0; first + r + 1 < rows; ++r) {
+    const double cr = rot[r].c;
+    const double sr = rot[r].s;
+    double* ak = c.a + (first + r) * m + j;
+    const double* ak1 = ak + m;
+    for (std::size_t v = 0; v < V; ++v) {
+      const T a = carry[v];
+      T b;
+      load_cols(b, ak1 + v * kLanes);
+      store_cols(ak + v * kLanes, cr * a + sr * b);
+      carry[v] = cr * b - sr * a;
+    }
+  }
+  double last[V * kLanes];
+  std::memcpy(last, carry, sizeof last);
+  for (std::size_t e = 0; e < V * kLanes; ++e) {
+    const double lj = last[e];
+    const double dm = lj * w_last;
+    c.mean[j + e] -= dm;
+    c.var[j + e] += lj * lj;
+    c.delta_mean[j + e] += std::abs(dm);
+    c.delta_sigma[j + e] += std::abs(lj);
+  }
+}
+
+[[gnu::always_inline]] inline void downdate_body(
+    const CacheColumns& c, std::size_t first, std::size_t rows,
+    const linalg::GivensRotation* rot, double w_last, std::size_t j0,
+    std::size_t j1) {
+  // Four vectors (16 columns) per chunk fit the AVX2 register file with
+  // room for the operands; leftover columns go one at a time.
+  constexpr std::size_t kVecs = 4;
+  std::size_t j = j0;
+  for (; j + 4 * kVecs <= j1; j += 4 * kVecs) {
+    downdate_chunk<Vec4, kVecs>(c, first, rows, rot, w_last, j);
+  }
+  for (; j < j1; ++j) downdate_chunk<double, 1>(c, first, rows, rot, w_last, j);
+}
+
+[[gnu::always_inline]] inline void rebuild_row_body(
+    double* base, std::size_t stride, std::size_t i, const double* li,
+    double wi, double* mean, double* var, std::size_t width) {
+  double* bi = base + i * stride;
+  for (std::size_t k = 0; k < i; ++k) {
+    const double lik = li[k];
+    const double* bk = base + k * stride;
+    for (std::size_t j = 0; j < width; ++j) bi[j] -= lik * bk[j];
+  }
+  const double lii = li[i];
+  for (std::size_t j = 0; j < width; ++j) {
+    bi[j] /= lii;
+    mean[j] += bi[j] * wi;
+    var[j] -= bi[j] * bi[j];
+  }
+}
+
+void fold_baseline(const CacheColumns& c, std::size_t row, const double* lrow,
+                   double pivot, double w_new, std::size_t j0,
+                   std::size_t j1) {
+  fold_body(c, row, lrow, pivot, w_new, j0, j1);
+}
+
+void downdate_baseline(const CacheColumns& c, std::size_t first,
+                       std::size_t rows, const linalg::GivensRotation* rot,
+                       double w_last, std::size_t j0, std::size_t j1) {
+  downdate_body(c, first, rows, rot, w_last, j0, j1);
+}
+
+void rebuild_row_baseline(double* base, std::size_t stride, std::size_t i,
+                          const double* li, double wi, double* mean,
+                          double* var, std::size_t width) {
+  rebuild_row_body(base, stride, i, li, wi, mean, var, width);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+#define EDGEBOL_AVX2_COLUMN_KERNELS 1
+
+[[gnu::target("avx2")]] void fold_avx2(const CacheColumns& c, std::size_t row,
+                                       const double* lrow, double pivot,
+                                       double w_new, std::size_t j0,
+                                       std::size_t j1) {
+  fold_body(c, row, lrow, pivot, w_new, j0, j1);
+}
+
+[[gnu::target("avx2")]] void downdate_avx2(const CacheColumns& c,
+                                           std::size_t first,
+                                           std::size_t rows,
+                                           const linalg::GivensRotation* rot,
+                                           double w_last, std::size_t j0,
+                                           std::size_t j1) {
+  downdate_body(c, first, rows, rot, w_last, j0, j1);
+}
+
+[[gnu::target("avx2")]] void rebuild_row_avx2(double* base,
+                                              std::size_t stride,
+                                              std::size_t i, const double* li,
+                                              double wi, double* mean,
+                                              double* var,
+                                              std::size_t width) {
+  rebuild_row_body(base, stride, i, li, wi, mean, var, width);
+}
+#endif
+
+}  // namespace
+
+const ColumnKernels& baseline_column_kernels() {
+  static constexpr ColumnKernels k{fold_baseline, downdate_baseline,
+                                   rebuild_row_baseline};
+  return k;
+}
+
+bool avx2_column_kernels_available() {
+#ifdef EDGEBOL_AVX2_COLUMN_KERNELS
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
+
+const ColumnKernels& avx2_column_kernels() {
+#ifdef EDGEBOL_AVX2_COLUMN_KERNELS
+  static constexpr ColumnKernels k{fold_avx2, downdate_avx2,
+                                   rebuild_row_avx2};
+  return k;
+#else
+  throw std::logic_error("avx2_column_kernels: not built for this target");
+#endif
+}
+
+const ColumnKernels& column_kernels() {
+  static const ColumnKernels& k = avx2_column_kernels_available()
+                                      ? avx2_column_kernels()
+                                      : baseline_column_kernels();
+  return k;
+}
+
+}  // namespace detail
 
 namespace {
 
@@ -55,7 +269,9 @@ GpRegressor::GpRegressor(const GpRegressor& other)
       budget_(other.budget_),
       eviction_policy_(other.eviction_policy_),
       evictions_(other.evictions_),
-      pool_(other.pool_) {}
+      pool_(other.pool_),
+      rot_scratch_(other.rot_scratch_),
+      pending_(other.pending_) {}
 
 GpRegressor& GpRegressor::operator=(const GpRegressor& other) {
   if (this == &other) return *this;
@@ -95,15 +311,25 @@ void GpRegressor::reserve_cache_rows(std::size_t rows) {
 }
 
 void GpRegressor::add(const Vector& z, double y) {
+  stage_add(z, y);
+  if (budget_ > 0 && y_.size() > budget_) {
+    stage_remove(eviction_candidate(eviction_policy_));
+  }
+  sweep();
+}
+
+void GpRegressor::stage_add(const Vector& z, double y) {
   if (z.size() != kernel_->dims())
     throw std::invalid_argument("GpRegressor::add: input dimension mismatch");
+  if (sweep_pending())
+    throw std::logic_error("GpRegressor::stage_add: a sweep is pending");
   const std::size_t n = y_.size();
 
   scratch_k_.resize(n);
   kernel_->eval_batch(zdata_.data(), n, z, scratch_k_.data());
   const double kzz = (*kernel_)(z, z) + noise_var_;
 
-  chol_.extend(scratch_k_, kzz);
+  chol_.extend(scratch_k_, kzz);  // throws before anything else changes
   const double* lrow = chol_.row_data(n);
   const double pivot = chol_.diag(n);
 
@@ -113,24 +339,22 @@ void GpRegressor::add(const Vector& z, double y) {
   const double w_new = s / pivot;
   w_.push_back(w_new);
 
-  // Extend the tracked cache with the new row of A = L^{-1} K_tc and fold
-  // it into the cached posterior moments, blocked over candidate columns.
+  // The cache gains row n of A = L^{-1} K_tc in the sweep. It needs this L
+  // row, which a staged removal would rotate, so it keeps a copy.
   if (num_tracked() > 0) {
     reserve_cache_rows(n + 1);
     amat_.resize((n + 1) * num_tracked());
-    over_columns([&](std::size_t j0, std::size_t j1) {
-      fold_columns(z, w_new, pivot, j0, j1);
-    });
-    ++delta_events_;
+    pending_.fold = true;
+    pending_.fold_row = n;
+    pending_.fold_z = z;
+    pending_.fold_lrow.assign(lrow, lrow + n);
+    pending_.fold_pivot = pivot;
+    pending_.fold_w = w_new;
   }
 
   z_.push_back(z);
   zdata_.insert(zdata_.end(), z.begin(), z.end());
   y_.push_back(y);
-
-  if (budget_ > 0 && y_.size() > budget_) {
-    remove_observation(eviction_candidate(eviction_policy_));
-  }
 }
 
 void GpRegressor::set_observation_budget(std::size_t budget,
@@ -177,10 +401,17 @@ std::size_t GpRegressor::eviction_candidate(EvictionPolicy policy) const {
 }
 
 void GpRegressor::remove_observation(std::size_t i) {
+  stage_remove(i);
+  sweep();
+}
+
+void GpRegressor::stage_remove(std::size_t i) {
   const std::size_t n = y_.size();
   if (i >= n)
     throw std::invalid_argument(
         "GpRegressor::remove_observation: index out of range");
+  if (pending_.downdate)
+    throw std::logic_error("GpRegressor::stage_remove: a removal is pending");
   const std::size_t d = kernel_->dims();
   chol_.remove_row(i, rot_scratch_);
 
@@ -198,17 +429,14 @@ void GpRegressor::remove_observation(std::size_t i) {
   const double w_last = w_.back();
   w_.pop_back();
 
-  // Same treatment for the cache A = L^{-1} K(train, cands), block-parallel
-  // over candidate columns; the rotated-out last row leaves the cached
-  // moments through the rank-1 corrections. Per-column op order is fixed
-  // (rotations in sequence, then the fold-out), so results are bit-identical
-  // for any thread count.
+  // The cache A = L^{-1} K(train, cands) takes the same rotations in the
+  // sweep, and its rotated-out last row leaves the cached moments through
+  // the rank-1 corrections.
   if (num_tracked() > 0) {
-    over_columns([&](std::size_t j0, std::size_t j1) {
-      downdate_columns(i, n, w_last, j0, j1);
-    });
-    amat_.resize((n - 1) * num_tracked());
-    ++delta_events_;
+    pending_.downdate = true;
+    pending_.removed = i;
+    pending_.rows = n;
+    pending_.w_last = w_last;
   }
 
   z_.erase(z_.begin() + static_cast<std::ptrdiff_t>(i));
@@ -218,64 +446,83 @@ void GpRegressor::remove_observation(std::size_t i) {
   ++evictions_;
 }
 
-void GpRegressor::downdate_columns(std::size_t first, std::size_t rows,
-                                   double w_last, std::size_t j0,
-                                   std::size_t j1) {
-  const std::size_t m = num_tracked();
-  for (std::size_t r = 0; r < rot_scratch_.size(); ++r) {
-    const double c = rot_scratch_[r].c;
-    const double s = rot_scratch_[r].s;
-    double* ak = amat_.data() + (first + r) * m;
-    double* ak1 = ak + m;
-    for (std::size_t j = j0; j < j1; ++j) {
-      const double a = ak[j];
-      const double b = ak1[j];
-      ak[j] = c * a + s * b;
-      ak1[j] = c * b - s * a;
+void GpRegressor::sweep() {
+  if (!sweep_pending()) return;
+  // Per-column op order is fixed (fold, rotations in sequence, fold-out),
+  // so results are bit-identical for any thread count.
+  over_columns([this](std::size_t j0, std::size_t j1) {
+    sweep_columns(j0, j1);
+  });
+  finish_sweep();
+}
+
+void GpRegressor::sweep_all(std::span<GpRegressor* const> gps,
+                            common::ThreadPool* pool) {
+  // One flat index over the pending regressors' column blocks, in the
+  // blocks each one's own sweep() would use. The regressors interleave —
+  // item b is block b / G of regressor b % G — so the threads working at
+  // any moment mostly sweep different caches instead of adjacent blocks of
+  // one (whose shared boundary cache lines they would both write).
+  const auto blocks_of = [](const GpRegressor* g) {
+    return g->sweep_pending()
+               ? (g->num_tracked() + kColumnGrain - 1) / kColumnGrain
+               : std::size_t{0};
+  };
+  std::size_t rounds = 0;
+  for (const GpRegressor* g : gps) rounds = std::max(rounds, blocks_of(g));
+  const auto run = [&](std::size_t b0, std::size_t b1) {
+    for (std::size_t b = b0; b < b1; ++b) {
+      GpRegressor* g = gps[b % gps.size()];
+      const std::size_t k = b / gps.size();
+      if (k < blocks_of(g)) {
+        const std::size_t j0 = k * kColumnGrain;
+        g->sweep_columns(j0, std::min(g->num_tracked(), j0 + kColumnGrain));
+      }
     }
+  };
+  const std::size_t total = rounds * gps.size();
+  if (pool != nullptr) {
+    // sync: each item writes one column block of one regressor's cache and
+    // moments, disjoint from every other item; parallel_for joins before
+    // the regressors are finished below.
+    pool->parallel_for(total, 1, run);
+  } else {
+    run(0, total);
   }
-  const double* last = amat_.data() + (rows - 1) * m;
-  double* dmu = delta_mean_.data();
-  double* dsg = delta_sigma_.data();
-  for (std::size_t j = j0; j < j1; ++j) {
-    const double lj = last[j];
-    const double dm = lj * w_last;
-    tracked_mean_[j] -= dm;
-    tracked_var_[j] += lj * lj;
-    dmu[j] += std::abs(dm);
-    dsg[j] += std::abs(lj);
+  for (GpRegressor* g : gps) {
+    if (g->sweep_pending()) g->finish_sweep();
   }
 }
 
-void GpRegressor::fold_columns(const Vector& z, double w_new, double pivot,
-                               std::size_t j0, std::size_t j1) {
-  const std::size_t n = y_.size();  // rows already in the cache
+void GpRegressor::sweep_columns(std::size_t j0, std::size_t j1) {
+  const detail::ColumnKernels& k = detail::column_kernels();
   const std::size_t m = num_tracked();
-  const std::size_t d = kernel_->dims();
-  const double* lrow = chol_.row_data(n);
-  double* arow = amat_.data() + n * m;
+  const detail::CacheColumns c{amat_.data(),        m,
+                               tracked_mean_.data(), tracked_var_.data(),
+                               delta_mean_.data(),   delta_sigma_.data()};
+  if (pending_.fold) {
+    // New cache row over this block: a_n = (k(z, c_j) - sum_i l_ni a_ij) / p.
+    const std::size_t d = kernel_->dims();
+    kernel_->eval_batch(cands_->data().data() + j0 * d, j1 - j0,
+                        pending_.fold_z,
+                        amat_.data() + pending_.fold_row * m + j0);
+    k.fold(c, pending_.fold_row, pending_.fold_lrow.data(),
+           pending_.fold_pivot, pending_.fold_w, j0, j1);
+  }
+  if (pending_.downdate) {
+    k.downdate(c, pending_.removed, pending_.rows, rot_scratch_.data(),
+               pending_.w_last, j0, j1);
+  }
+}
 
-  // New cache row over this block: a_n = (k(z, c_j) - sum_i l_ni a_ij) / p.
-  kernel_->eval_batch(cands_->data().data() + j0 * d, j1 - j0, z, arow + j0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double lni = lrow[i];
-    const double* ai = amat_.data() + i * m;
-    for (std::size_t j = j0; j < j1; ++j) arow[j] -= lni * ai[j];
+void GpRegressor::finish_sweep() {
+  if (pending_.fold) ++delta_events_;
+  if (pending_.downdate) {
+    amat_.resize((pending_.rows - 1) * num_tracked());
+    ++delta_events_;
   }
-  // The delta accumulators record exactly the terms folded into the moments
-  // (dm is the same product added to tracked_mean_), so a candidate whose
-  // accumulators stay zero has a bitwise-unchanged cached posterior.
-  double* dmu = delta_mean_.data();
-  double* dsg = delta_sigma_.data();
-  for (std::size_t j = j0; j < j1; ++j) {
-    const double aj = arow[j] / pivot;
-    arow[j] = aj;
-    const double dm = aj * w_new;
-    tracked_mean_[j] += dm;
-    tracked_var_[j] -= aj * aj;
-    dmu[j] += std::abs(dm);
-    dsg[j] += std::abs(aj);
-  }
+  pending_.fold = false;
+  pending_.downdate = false;
 }
 
 Prediction GpRegressor::predict(const Vector& z) const {
@@ -335,6 +582,7 @@ void GpRegressor::clear_tracked_candidates() {
   delta_sigma_.clear();
   delta_events_ = 0;
   ++tracked_epoch_;
+  pending_ = PendingSweep{};
 }
 
 void GpRegressor::reset_tracked_deltas() {
@@ -364,6 +612,7 @@ void GpRegressor::rebuild_tracked_cache() {
   delta_sigma_.assign(m, 0.0);
   delta_events_ = 0;
   ++tracked_epoch_;
+  pending_ = PendingSweep{};  // the rebuild covers any staged update
   if (m == 0) {
     amat_.clear();
     return;
@@ -391,28 +640,17 @@ void GpRegressor::rebuild_columns(std::size_t j0, std::size_t j1) {
   // eval_batch chunking relative to j0, same i/k loop order), so the two
   // paths are bitwise interchangeable; eval_cross row i equals
   // eval_batch(block, z_i) because stationary kernels are exactly symmetric.
+  const detail::ColumnKernels& kern = detail::column_kernels();
+  const std::size_t bw = j1 - j0;
+  double* mean = tracked_mean_.data() + j0;
+  double* var = tracked_var_.data() + j0;
   if (n > 0 && n <= kMaxFusedRebuildRows) {
-    const std::size_t bw = j1 - j0;
     thread_local std::vector<double> buf;
     buf.resize(n * bw);
     kernel_->eval_cross(zdata_.data(), n, cdata + j0 * d, bw, buf.data());
     for (std::size_t i = 0; i < n; ++i) {
-      double* bi = buf.data() + i * bw;
-      const double* li = chol_.row_data(i);
-      for (std::size_t k = 0; k < i; ++k) {
-        const double lik = li[k];
-        const double* bk = buf.data() + k * bw;
-        for (std::size_t j = 0; j < bw; ++j) bi[j] -= lik * bk[j];
-      }
-      const double lii = li[i];
-      const double wi = w_[i];
-      double* mean = tracked_mean_.data() + j0;
-      double* var = tracked_var_.data() + j0;
-      for (std::size_t j = 0; j < bw; ++j) {
-        bi[j] /= lii;
-        mean[j] += bi[j] * wi;
-        var[j] -= bi[j] * bi[j];
-      }
+      kern.rebuild_row(buf.data(), bw, i, chol_.row_data(i), w_[i], mean, var,
+                       bw);
     }
     for (std::size_t i = 0; i < n; ++i) {
       std::memcpy(amat_.data() + i * m + j0, buf.data() + i * bw,
@@ -425,21 +663,9 @@ void GpRegressor::rebuild_columns(std::size_t j0, std::size_t j1) {
   // ever combines with column j, so the per-column FP sequence — and the
   // result — is independent of both the blocking and the thread count.
   for (std::size_t i = 0; i < n; ++i) {
-    double* ai = amat_.data() + i * m;
-    kernel_->eval_batch(cdata + j0 * d, j1 - j0, z_[i], ai + j0);
-    const double* li = chol_.row_data(i);
-    for (std::size_t k = 0; k < i; ++k) {
-      const double lik = li[k];
-      const double* ak = amat_.data() + k * m;
-      for (std::size_t j = j0; j < j1; ++j) ai[j] -= lik * ak[j];
-    }
-    const double lii = li[i];
-    const double wi = w_[i];
-    for (std::size_t j = j0; j < j1; ++j) {
-      ai[j] /= lii;
-      tracked_mean_[j] += ai[j] * wi;
-      tracked_var_[j] -= ai[j] * ai[j];
-    }
+    kernel_->eval_batch(cdata + j0 * d, bw, z_[i], amat_.data() + i * m + j0);
+    kern.rebuild_row(amat_.data() + j0, m, i, chol_.row_data(i), w_[i], mean,
+                     var, bw);
   }
 }
 

@@ -27,6 +27,14 @@
 // the tracked cache, so per-period cost and memory stay flat at O(B^2 +
 // B |X|) forever while the posterior remains exact for the retained set.
 //
+// Every update runs in two stages. The factor stage (stage_add,
+// stage_remove) does the O(T^2) work: kernel row, Cholesky extend or Givens
+// downdate, w. The column sweep then applies the pending fold and the
+// pending downdate to each candidate-column block in one pass over the
+// cache, so an add at full budget reads the O(T |X|) cache once instead of
+// twice. add() and remove_observation() are stage + sweep; EdgeBOL stages
+// its three surrogates and sweeps them together (sweep_all).
+//
 // Instances are not safe for concurrent use (even predict(), which is
 // const, reuses internal scratch buffers); distinct instances may be used
 // from different threads freely, which is how the three EdgeBOL surrogates
@@ -36,6 +44,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -87,7 +96,7 @@ class GpRegressor {
 
   /// Condition on one observation y at input z. O(T^2) plus O(T m) for m
   /// tracked candidates. With an observation budget set and full, the add
-  /// is followed by one eviction (same asymptotic cost), so steady-state
+  /// is followed by one eviction in the same cache sweep, so steady-state
   /// per-period work is flat for unbounded horizons.
   void add(const Vector& z, double y);
 
@@ -117,6 +126,33 @@ class GpRegressor {
   /// downdates are block-parallel on the pool and bit-identical for any
   /// thread count.
   void remove_observation(std::size_t i);
+
+  /// Factor stage of add(): conditions the factor, w and the stored data on
+  /// (z, y) in O(T^2) and leaves the tracked-cache fold pending for the next
+  /// sweep. No budget eviction. If the Cholesky extension fails (throws) the
+  /// regressor is left unchanged. Requires no pending sweep.
+  void stage_add(const Vector& z, double y);
+
+  /// Factor stage of remove_observation(i): downdates the factor and w in
+  /// O(T^2) and leaves the cache downdate pending. May follow a stage_add
+  /// (i may then be the staged observation itself); requires no pending
+  /// removal.
+  void stage_remove(std::size_t i);
+
+  /// Applies the pending fold, then the pending downdate, to every tracked
+  /// candidate column in one pass (block-parallel on the pool, bit-identical
+  /// for any thread count). A no-op when nothing is pending. Until it runs
+  /// the tracked arrays describe the previous observation set, while
+  /// predict() and eviction_candidate() already see the staged one.
+  void sweep();
+  bool sweep_pending() const { return pending_.fold || pending_.downdate; }
+
+  /// sweep() for several distinct regressors in one parallel_for on `pool`
+  /// (nullptr: serial). Each regressor's columns see the same blocks and
+  /// the same operations as its own sweep(), so results are bit-identical
+  /// to sweeping them one by one.
+  static void sweep_all(std::span<GpRegressor* const> gps,
+                        common::ThreadPool* pool);
 
   /// Posterior mean/variance at z. O(T^2). With no data this returns the
   /// prior (mean 0, variance k(z,z)).
@@ -160,9 +196,9 @@ class GpRegressor {
   /// reset_tracked_deltas(): tracked_delta_mean_data()[j] bounds
   /// |tracked_mean_[j] - mean at reset|, and tracked_delta_sigma_data()[j]
   /// bounds the amount the tracked stddev can have moved (|delta sigma| <=
-  /// sqrt(sum a^2) <= sum |a| per rank-1 event). They grow inside
-  /// fold_columns / downdate_columns with the exact same products that feed
-  /// the moments, so a zero entry means that candidate's cached posterior is
+  /// sqrt(sum a^2) <= sum |a| per rank-1 event). They grow inside the fold
+  /// and downdate column kernels with the exact same products that feed the
+  /// moments, so a zero entry means that candidate's cached posterior is
   /// bitwise unchanged. The incremental safe-set maintenance in
   /// core/safe_set.cpp is the consumer.
   const double* tracked_delta_mean_data() const { return delta_mean_.data(); }
@@ -184,16 +220,28 @@ class GpRegressor {
   std::uint64_t tracked_rebuild_epoch() const { return tracked_epoch_; }
 
  private:
+  // Cache work the factor stage left for the column sweep: at most one fold
+  // (the staged add) followed by at most one downdate (the staged removal).
+  struct PendingSweep {
+    bool fold = false;
+    std::size_t fold_row = 0;  // cache row the new observation lands in
+    Vector fold_z;             // its input
+    Vector fold_lrow;          // its L row, copied before any downdate
+    double fold_pivot = 0.0;
+    double fold_w = 0.0;       // its entry of w
+    bool downdate = false;
+    std::size_t removed = 0;   // index of the removed observation
+    std::size_t rows = 0;      // cache rows before the removal
+    double w_last = 0.0;       // rotated-out last entry of w
+  };
+
   void rebuild_tracked_cache();
-  // Rebuild / fold the tracked cache for candidate columns [j0, j1).
+  // Rebuild the tracked cache for candidate columns [j0, j1).
   void rebuild_columns(std::size_t j0, std::size_t j1);
-  void fold_columns(const Vector& z, double w_new, double pivot,
-                    std::size_t j0, std::size_t j1);
-  // Apply the pending eviction rotations (rot_scratch_, starting at row
-  // `first`) to cache columns [j0, j1) and fold out the resulting last row
-  // (`rows` = row count before the removal, w_last = rotated-out w entry).
-  void downdate_columns(std::size_t first, std::size_t rows, double w_last,
-                        std::size_t j0, std::size_t j1);
+  // Apply the pending fold, then the pending downdate, to columns [j0, j1).
+  void sweep_columns(std::size_t j0, std::size_t j1);
+  // Shrink the cache after a swept downdate and clear the pending state.
+  void finish_sweep();
   // Runs fn over candidate-column blocks (fixed width, thread pool if set).
   void over_columns(const std::function<void(std::size_t, std::size_t)>& fn);
   void reserve_cache_rows(std::size_t rows);
@@ -224,6 +272,7 @@ class GpRegressor {
   mutable Vector scratch_k_;     // kernel row, reused across predict()/add()
   mutable Vector scratch_v_;     // triangular-solve output for predict()
   std::vector<linalg::GivensRotation> rot_scratch_;  // eviction rotations
+  PendingSweep pending_;
 };
 
 }  // namespace edgebol::gp

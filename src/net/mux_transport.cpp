@@ -602,8 +602,7 @@ void MuxEndpoint::queue_delayed(std::uint64_t stream_id,
           stage_frame(stream_id, payload, heartbeat, stream_stats);
         }
         if (!conn_fd_.valid()) return;
-        flush_staged();
-        update_conn_events();
+        pump_tx();  // same reason as in tick()
       });
   delay_timers_.insert(*timer_id);
 }
@@ -749,7 +748,12 @@ void MuxEndpoint::tick() {
           // Heartbeats ride the chaos path so partitions starve the peer.
           emit_locked(0, "", /*heartbeat=*/true, nullptr);
         }
-        flush_staged();
+        // pump_tx, not a bare flush: the flush may empty the staged bytes
+        // into space the peer just freed and clear POLLOUT, and a stream
+        // backlog left by an earlier EAGAIN would then wait for the next
+        // send(). pump_tx stages that backlog too and re-arms POLLOUT if
+        // the socket fills again.
+        pump_tx();
       }
     }
   }

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -439,6 +440,93 @@ TEST_P(MuxEndpointTest, DrainAllPreservesPerStreamOrderAcrossStreams) {
     EXPECT_EQ(f.payload, std::to_string(next[f.stream_id]));
     ++next[f.stream_id];
   }
+}
+
+// A stream backlog left by an EAGAIN must leave once the socket drains, even
+// when the sender never calls send() again. The heartbeat tick is the
+// trigger: it runs while the sender's POLLOUT interest is armed, flushes the
+// staged bytes into the socket space the reader just freed, and clears the
+// interest. If the tick did not also pump the stream queues, the backlog
+// behind the staged bytes would wait for a send() that never comes.
+TEST_P(MuxEndpointTest, StalledBacklogDrainsWithoutFurtherSends) {
+  EventLoop tx_loop(GetParam());
+  EventLoop rx_loop(GetParam());
+  MuxEndpointConfig cfg;
+  cfg.heartbeat_ms = 20;
+  cfg.peer_timeout_ms = 60000;  // the sender's loop is held below
+  cfg.name = "rx";
+  auto reader = MuxEndpoint::listen(&rx_loop, 0, cfg);
+  cfg.name = "tx";
+  auto sender = MuxEndpoint::connect(&tx_loop, "127.0.0.1",
+                                     reader->local_port(), cfg);
+  MuxStreamConfig rx_cfg = scfg("bulk");
+  rx_cfg.max_recv_queue = 8;  // the reader pauses after a few frames
+  MuxStreamConfig tx_cfg = scfg("bulk");
+  tx_cfg.max_send_queue = 4096;  // never blocks the sender here
+  MuxTransport* in = reader->open_stream(1, rx_cfg);
+  MuxTransport* out = sender->open_stream(1, tx_cfg);
+  ASSERT_TRUE(eventually([&] { return sender->established(); }));
+
+  // Keep the stream queue topped up until the wire stalls with a backlog
+  // behind it. Loopback receive buffers autotune up to tens of MB, so the
+  // volume that takes is found by sending, not fixed.
+  const std::string body(32 * 1024 - 8, 'p');
+  const auto frame = [&](int k) {
+    char head[9];
+    std::snprintf(head, sizeof head, "%08d", k);
+    return std::string(head, 8) + body;
+  };
+  const int kMaxFrames = 4000;  // 128 MB: a stall must come long before
+  int sent = 0;
+  for (;;) {
+    ASSERT_LT(sent, kMaxFrames) << "the wire never stalled";
+    for (int i = 0; i < 256; ++i) {
+      ASSERT_EQ(out->send(frame(sent++)), SendResult::kQueued);
+    }
+    const std::uint64_t before = out->stats().frames_sent;
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const std::uint64_t staged = out->stats().frames_sent;
+    if (staged == before && staged + 64 < static_cast<std::uint64_t>(sent)) {
+      break;
+    }
+  }
+
+  // Hold the sender's loop, let the reader empty the sockets, then release
+  // the loop after a heartbeat fell due: its tick runs before any POLLOUT.
+  std::atomic<bool> release{false};
+  std::atomic<bool> held{false};
+  tx_loop.post([&] {
+    held = true;
+    while (!release) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  });
+  ASSERT_TRUE(eventually([&] { return held.load(); }));
+
+  int next = 0;
+  bool in_order = true;
+  const auto take = [&] {
+    for (std::string& f : in->drain()) {
+      in_order = in_order && f == frame(next);
+      ++next;
+    }
+  };
+  ASSERT_TRUE(eventually([&] {
+    const int before = next;
+    take();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    take();
+    return next == before;
+  }));
+  ASSERT_LT(next, sent);  // part of the backlog is still queued
+  release = true;
+
+  EXPECT_TRUE(eventually(
+      [&] {
+        take();
+        return next == sent;
+      },
+      10000))
+      << "delivered " << next << " of " << sent;
+  EXPECT_TRUE(in_order);
 }
 
 // --- fleet plane ---------------------------------------------------------
